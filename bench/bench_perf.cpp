@@ -99,20 +99,33 @@ void BM_RateFamily(bench::State& state) {
 }
 BENCHMARK(BM_RateFamily);
 
+// One FDS round over range(0) regions. range(1) = 0 constrains decision 0
+// only, so the other 7 decisions take decision_feasible_set's
+// whole-coordinate early return; range(1) = 1 constrains all 8 (the
+// eps = 0.05 box around the x_ref = 0.75 equilibrium that paper_city and
+// the service run), which is the cost the controller actually pays.
 void BM_FdsRound(bench::State& state) {
   const auto game = make_chain(static_cast<std::size_t>(state.range(0)));
+  const auto game_state = game.uniform_state();
   core::DesiredFields fields(game.num_regions(), 8);
-  for (core::RegionId i = 0; i < game.num_regions(); ++i) {
-    fields.set_target(i, 0, Interval{0.9, 1.0});
+  if (state.range(1) == 0) {
+    for (core::RegionId i = 0; i < game.num_regions(); ++i) {
+      fields.set_target(i, 0, Interval{0.9, 1.0});
+    }
+  } else {
+    fields = bench::attainable_fields(game, game_state, 0.75, 0.05);
   }
   core::FdsController controller(game, fields);
-  const auto game_state = game.uniform_state();
-  std::vector<double> x(game.num_regions(), 0.5);
+  const std::vector<double> x(game.num_regions(), 0.5);
+  std::vector<double> out;
   for ([[maybe_unused]] auto _ : state) {
-    bench::DoNotOptimize(controller.next_x(game_state, x));
+    controller.next_x_into(game_state, x, out);
+    bench::DoNotOptimize(out);
   }
+  state.SetLabel(state.range(1) == 0 ? "decision 0 constrained"
+                                     : "all 8 decisions constrained");
 }
-BENCHMARK(BM_FdsRound)->Arg(4)->Arg(20);
+BENCHMARK(BM_FdsRound)->Args({4, 0})->Args({20, 0})->Args({20, 1});
 
 void BM_LowerBound(bench::State& state) {
   const auto game = make_chain(20);
@@ -147,6 +160,36 @@ BENCHMARK(BM_BrandesBetweenness)
     ->Args({16, 1})
     ->Args({16, 4})
     ->Args({16, 8});
+
+// The service's maintained-epoch refresh: a weighted IncrementalBetweenness
+// update on the paper's 18x24 city that re-weights every segment (two
+// alternating weight sets), so all chunks recompute, at range(0) lanes.
+void BM_IncrementalBetweenness(bench::State& state) {
+  roadnet::CityParams params;
+  params.rows = 18;
+  params.cols = 24;
+  const auto graph = roadnet::build_city(params);
+  std::vector<roadnet::SegmentId> segments(graph.num_segments());
+  std::vector<double> base(graph.num_segments());
+  std::vector<double> loaded(graph.num_segments());
+  for (roadnet::SegmentId s = 0; s < graph.num_segments(); ++s) {
+    segments[s] = s;
+    base[s] = graph.segment(s).travel_time_s();
+    loaded[s] = base[s] * 1.25;
+  }
+  roadnet::BetweennessOptions opts;
+  opts.num_threads = static_cast<std::size_t>(state.range(0));
+  roadnet::IncrementalBetweenness inc(graph, base, opts);
+  bool flip = false;
+  for ([[maybe_unused]] auto _ : state) {
+    flip = !flip;
+    bench::DoNotOptimize(inc.update_weights(segments, flip ? loaded : base));
+  }
+  state.SetLabel(std::to_string(graph.num_segments()) +
+                 " segments, full refresh, " +
+                 std::to_string(state.range(0)) + " lanes");
+}
+BENCHMARK(BM_IncrementalBetweenness)->Arg(1)->Arg(2)->MinTime(0.25);
 
 void BM_Clustering(bench::State& state) {
   roadnet::CityParams params;

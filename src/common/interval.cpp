@@ -26,32 +26,25 @@ IntervalSet::IntervalSet(const Interval& iv) {
   if (!iv.empty()) parts_.push_back(iv);
 }
 
-IntervalSet IntervalSet::whole(double lo, double hi) {
-  return IntervalSet(Interval{lo, hi});
-}
-
 void IntervalSet::add(const Interval& iv) {
   if (iv.empty()) return;
+  // Parts are sorted and disjoint, so the parts iv touches (as it grows by
+  // absorbing them) form one contiguous run [first, last): merge the run.
+  auto first = parts_.begin();
+  while (first != parts_.end() && first->hi < iv.lo) ++first;
   Interval merged = iv;
-  std::vector<Interval> out;
-  out.reserve(parts_.size() + 1);
-  bool placed = false;
-  for (const Interval& p : parts_) {
-    if (Interval::touches(p, merged)) {
-      merged.lo = std::min(merged.lo, p.lo);
-      merged.hi = std::max(merged.hi, p.hi);
-    } else if (p.hi < merged.lo) {
-      out.push_back(p);
-    } else {
-      if (!placed) {
-        out.push_back(merged);
-        placed = true;
-      }
-      out.push_back(p);
-    }
+  auto last = first;
+  while (last != parts_.end() && Interval::touches(*last, merged)) {
+    merged.lo = std::min(merged.lo, last->lo);
+    merged.hi = std::max(merged.hi, last->hi);
+    ++last;
   }
-  if (!placed) out.push_back(merged);
-  parts_ = std::move(out);
+  if (first == last) {
+    parts_.insert(first, merged);
+  } else {
+    *first = merged;
+    parts_.erase(first + 1, last);
+  }
 }
 
 IntervalSet IntervalSet::unite(const IntervalSet& a, const IntervalSet& b) {
@@ -63,6 +56,14 @@ IntervalSet IntervalSet::unite(const IntervalSet& a, const IntervalSet& b) {
 IntervalSet IntervalSet::intersect(const IntervalSet& a,
                                    const IntervalSet& b) {
   IntervalSet out;
+  intersect_into(a, b, out);
+  return out;
+}
+
+void IntervalSet::intersect_into(const IntervalSet& a, const IntervalSet& b,
+                                 IntervalSet& out) {
+  AVCP_EXPECT(&out != &a && &out != &b);
+  out.parts_.clear();
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < a.parts_.size() && j < b.parts_.size()) {
@@ -76,7 +77,6 @@ IntervalSet IntervalSet::intersect(const IntervalSet& a,
       ++j;
     }
   }
-  return out;
 }
 
 bool IntervalSet::contains(double x, double tol) const noexcept {

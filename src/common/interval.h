@@ -47,17 +47,23 @@ class IntervalSet {
   /// Singleton set containing one interval (ignored if empty).
   explicit IntervalSet(const Interval& iv);
 
-  /// The whole-domain set [lo, hi].
-  static IntervalSet whole(double lo, double hi);
-
-  /// Inserts an interval, merging with any intervals it touches.
+  /// Inserts an interval, merging with any intervals it touches. Works in
+  /// place: no allocation while the set's capacity suffices.
   void add(const Interval& iv);
+
+  /// Empties the set, keeping its capacity (grow-only reuse).
+  void clear() noexcept { parts_.clear(); }
 
   /// Union of two interval sets.
   static IntervalSet unite(const IntervalSet& a, const IntervalSet& b);
 
   /// Intersection of two interval sets.
   static IntervalSet intersect(const IntervalSet& a, const IntervalSet& b);
+
+  /// intersect() into caller-owned `out`, reusing its capacity. `out` must
+  /// alias neither input.
+  static void intersect_into(const IntervalSet& a, const IntervalSet& b,
+                             IntervalSet& out);
 
   bool empty() const noexcept { return parts_.empty(); }
 

@@ -114,21 +114,25 @@ void FdsController::set_desired(DesiredFields desired) {
   desired_ = std::move(desired);
 }
 
-IntervalSet FdsController::decision_feasible_set(const GameState& state,
-                                                 std::span<const double> x_prev,
-                                                 RegionId i,
-                                                 DecisionId k) const {
+void FdsController::decision_feasible_set(const GameState& state,
+                                          std::span<const double> x_prev,
+                                          RegionId i, DecisionId k,
+                                          Scratch& scratch) const {
+  IntervalSet& out = scratch.decision;
   const Interval domain{0.0, 1.0};
   const Interval& target = desired_.target(i, k);
   const double tol = options_.tol;
   const double p_cur = state.p[i][k];
 
+  out.clear();
   // Target already covers the whole simplex coordinate: any x works.
   if (target.lo <= tol && target.hi >= 1.0 - tol) {
-    return IntervalSet(domain);
+    out.add(domain);
+    return;
   }
 
-  const RateFamily family = rate_family(game_, state, x_prev, i, k);
+  const RateFamily family =
+      rate_family(game_, state, x_prev, i, k, scratch.probe);
   const auto [sum_a, sum_b] = family.sum_affine();        // alpha1 + alpha2
   const double a2_a = family.a2_slope;                    // alpha2 slope
   const double a2_b = family.a2_const;                    // alpha2 intercept
@@ -145,9 +149,9 @@ IntervalSet FdsController::decision_feasible_set(const GameState& state,
     const auto [rp_a, rp_b] = family.rate_at_p_affine(p_cur);
     case3up = Interval::intersect(case3up, solve_affine_ge(rp_a, rp_b, domain));
 
-    IntervalSet set(case1);
-    set.add(case3up);
-    return set;
+    out.add(case1);
+    out.add(case3up);
+    return;
   }
 
   if (target.lo <= tol) {
@@ -163,9 +167,9 @@ IntervalSet FdsController::decision_feasible_set(const GameState& state,
     case3down =
         Interval::intersect(case3down, solve_affine_le(rp_a, rp_b, domain));
 
-    IntervalSet set(case2);
-    set.add(case3down);
-    return set;
+    out.add(case2);
+    out.add(case3down);
+    return;
   }
 
   // Interior target (lines 9-10): Case 4 with the ESS inside [lo, hi].
@@ -177,26 +181,43 @@ IntervalSet FdsController::decision_feasible_set(const GameState& state,
   case4 = Interval::intersect(case4, solve_affine_ge(lo_a, lo_b, domain));
   const auto [hi_a, hi_b] = family.rate_at_p_affine(target.hi);
   case4 = Interval::intersect(case4, solve_affine_le(hi_a, hi_b, domain));
-  return IntervalSet(case4);
+  out.add(case4);
 }
 
 IntervalSet FdsController::feasible_set(const GameState& state,
                                         std::span<const double> x_prev,
                                         RegionId i) const {
-  IntervalSet set = IntervalSet::whole(0.0, 1.0);
+  Scratch scratch;
+  feasible_set_into(state, x_prev, i, scratch);
+  return std::move(scratch.set);
+}
+
+void FdsController::feasible_set_into(const GameState& state,
+                                      std::span<const double> x_prev,
+                                      RegionId i, Scratch& scratch) const {
+  scratch.set.clear();
+  scratch.set.add(Interval{0.0, 1.0});
   for (DecisionId k = 0; k < game_.num_decisions(); ++k) {
-    set = IntervalSet::intersect(set,
-                                 decision_feasible_set(state, x_prev, i, k));
-    if (set.empty()) break;
+    decision_feasible_set(state, x_prev, i, k, scratch);
+    IntervalSet::intersect_into(scratch.set, scratch.decision, scratch.meet);
+    std::swap(scratch.set, scratch.meet);
+    if (scratch.set.empty()) break;
   }
-  return set;
 }
 
 IntervalSet FdsController::prioritized_feasible_set(
     const GameState& state, std::span<const double> x_prev, RegionId i) const {
+  Scratch scratch;
+  prioritized_feasible_set_into(state, x_prev, i, scratch);
+  return std::move(scratch.set);
+}
+
+void FdsController::prioritized_feasible_set_into(
+    const GameState& state, std::span<const double> x_prev, RegionId i,
+    Scratch& scratch) const {
   // Rank decisions by how far their proportion sits from the target.
-  std::vector<std::pair<double, DecisionId>> ranked;
-  ranked.reserve(game_.num_decisions());
+  auto& ranked = scratch.ranked;
+  ranked.clear();
   for (DecisionId k = 0; k < game_.num_decisions(); ++k) {
     const Interval& target = desired_.target(i, k);
     const double p = state.p[i][k];
@@ -210,13 +231,13 @@ IntervalSet FdsController::prioritized_feasible_set(
     return a.second < b.second;
   });
 
-  IntervalSet set = IntervalSet::whole(0.0, 1.0);
+  scratch.set.clear();
+  scratch.set.add(Interval{0.0, 1.0});
   for (const auto& [violation, k] : ranked) {
-    const IntervalSet candidate = IntervalSet::intersect(
-        set, decision_feasible_set(state, x_prev, i, k));
-    if (!candidate.empty()) set = candidate;
+    decision_feasible_set(state, x_prev, i, k, scratch);
+    IntervalSet::intersect_into(scratch.set, scratch.decision, scratch.meet);
+    if (!scratch.meet.empty()) std::swap(scratch.set, scratch.meet);
   }
-  return set;
 }
 
 std::vector<double> FdsController::next_x(const GameState& state,
@@ -236,7 +257,8 @@ void FdsController::next_x_into(const GameState& state,
     // Gauss-Seidel sweeps see the ratios already updated this round.
     const std::vector<double>& x_view =
         options_.sweep == FdsOptions::Sweep::kGaussSeidel ? x_next : x_prev;
-    IntervalSet feasible = feasible_set(state, x_view, i);
+    feasible_set_into(state, x_view, i, scratch_);
+    const IntervalSet& feasible = scratch_.set;
     if (feasible.empty()) {
       // No single-round ratio satisfies every decision's flow condition at
       // once (the conditions can transiently conflict, e.g. suppressing P1
@@ -244,7 +266,7 @@ void FdsController::next_x_into(const GameState& state,
       // to serving the most-violated decisions first.
       AVCP_LOG(kDebug, "fds") << "region " << i
                               << ": empty feasible set, using priority order";
-      feasible = prioritized_feasible_set(state, x_view, i);
+      prioritized_feasible_set_into(state, x_view, i, scratch_);
     }
     AVCP_ENSURE(!feasible.empty());
     const double xi = x_prev[i];

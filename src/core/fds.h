@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/interval.h"
@@ -135,6 +136,9 @@ class FdsController final : public Controller {
   /// sees the previous round's ratios of its neighbours).
   std::vector<double> next_x(const GameState& state,
                              const std::vector<double>& x_prev) override;
+  /// Reuses the controller's grow-only probe and interval scratch, so a
+  /// warmed call allocates nothing; one controller must therefore not be
+  /// driven from two threads at once.
   void next_x_into(const GameState& state, const std::vector<double>& x_prev,
                    std::vector<double>& out) override;
 
@@ -148,18 +152,38 @@ class FdsController final : public Controller {
   void set_desired(DesiredFields desired);
 
   /// Checkpoint hooks. next_x is a pure function of (state, x_prev) given
-  /// the fields, so the fields are the controller's entire mutable state.
+  /// the fields, so the fields are the controller's entire mutable state
+  /// (the scratch below carries nothing between calls).
   void save_state(Serializer& s) const { desired_.save_state(s); }
   void load_state(Deserializer& d) { desired_.load_state(d); }
 
  private:
+  /// Grow-only buffers of one feasible-set computation; the result lands
+  /// in `set`.
+  struct Scratch {
+    RateProbeScratch probe;
+    IntervalSet set;
+    IntervalSet decision;
+    IntervalSet meet;
+    std::vector<std::pair<double, DecisionId>> ranked;
+  };
+
   const MultiRegionGame& game_;
   DesiredFields desired_;
   FdsOptions options_;
+  Scratch scratch_;
 
-  IntervalSet decision_feasible_set(const GameState& state,
-                                    std::span<const double> x_prev, RegionId i,
-                                    DecisionId k) const;
+  /// X_{i,k} into scratch.decision.
+  void decision_feasible_set(const GameState& state,
+                             std::span<const double> x_prev, RegionId i,
+                             DecisionId k, Scratch& scratch) const;
+  /// feasible_set / prioritized_feasible_set into scratch.set.
+  void feasible_set_into(const GameState& state,
+                         std::span<const double> x_prev, RegionId i,
+                         Scratch& scratch) const;
+  void prioritized_feasible_set_into(const GameState& state,
+                                     std::span<const double> x_prev,
+                                     RegionId i, Scratch& scratch) const;
 };
 
 }  // namespace avcp::core

@@ -69,12 +69,23 @@ double MultiRegionGame::fitness(const GameState& state,
                                 std::span<const double> x, RegionId i,
                                 DecisionId k) const {
   AVCP_EXPECT(i < regions_.size());
+  AVCP_EXPECT(state.p.size() == regions_.size());
+  return fitness_with_row(state, state.p[i], x, i, k);
+}
+
+double MultiRegionGame::fitness_with_row(const GameState& state,
+                                         std::span<const double> row_i,
+                                         std::span<const double> x,
+                                         RegionId i, DecisionId k) const {
+  AVCP_EXPECT(i < regions_.size());
   AVCP_EXPECT(x.size() == regions_.size());
   AVCP_EXPECT(state.p.size() == regions_.size());
   const RegionSpec& spec = regions_[i];
-  double gain = x[i] * spec.gamma_self * pooled_utility(state.p[i], k);
+  double gain = x[i] * spec.gamma_self * pooled_utility(row_i, k);
   for (const auto& [j, gamma] : spec.neighbors) {
-    gain += x[j] * gamma * pooled_utility(state.p[j], k);
+    const std::span<const double> row_j =
+        j == i ? row_i : std::span<const double>(state.p[j]);
+    gain += x[j] * gamma * pooled_utility(row_j, k);
   }
   return spec.beta * gain - config_.privacy[k];
 }
@@ -100,10 +111,11 @@ void MultiRegionGame::region_fitness_into(const GameState& state,
 double MultiRegionGame::average_fitness(const GameState& state,
                                         std::span<const double> x,
                                         RegionId i) const {
-  const auto q = region_fitness(state, x, i);
+  AVCP_EXPECT(i < regions_.size());
+  AVCP_EXPECT(state.p.size() == regions_.size());
   double avg = 0.0;
-  for (DecisionId k = 0; k < q.size(); ++k) {
-    avg += state.p[i][k] * q[k];
+  for (DecisionId k = 0; k < num_decisions(); ++k) {
+    avg += state.p[i][k] * fitness(state, x, i, k);
   }
   return avg;
 }

@@ -92,6 +92,15 @@ class MultiRegionGame {
   double fitness(const GameState& state, std::span<const double> x, RegionId i,
                  DecisionId k) const;
 
+  /// Eq. (4) with region i's proportions read from `row_i` instead of
+  /// state.p[i] (every other region from `state`): the rate model's probes
+  /// of a hypothetical region-i distribution, without copying the state.
+  /// fitness() is this with row_i = state.p[i].
+  double fitness_with_row(const GameState& state,
+                          std::span<const double> row_i,
+                          std::span<const double> x, RegionId i,
+                          DecisionId k) const;
+
   /// All decisions' fitness in region i.
   std::vector<double> region_fitness(const GameState& state,
                                      std::span<const double> x,

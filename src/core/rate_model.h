@@ -26,6 +26,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "common/interval.h"
 #include "core/game.h"
@@ -109,5 +110,17 @@ struct RateFamily {
 
 RateFamily rate_family(const MultiRegionGame& game, const GameState& state,
                        std::span<const double> x, RegionId i, DecisionId k);
+
+/// Grow-only buffers for rate_family's probes. A warmed scratch makes the
+/// call allocation-free; FdsController keeps one across its rounds.
+struct RateProbeScratch {
+  std::vector<double> x;    // the ratio vector with x_i pinned to 0 or 1
+  std::vector<double> row;  // region i's hypothetical distribution
+};
+
+/// rate_family with caller-owned probe buffers; bit-identical results.
+RateFamily rate_family(const MultiRegionGame& game, const GameState& state,
+                       std::span<const double> x, RegionId i, DecisionId k,
+                       RateProbeScratch& scratch);
 
 }  // namespace avcp::core

@@ -4,9 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <thread>
+#include <utility>
 
 #include "common/contracts.h"
 #include "common/thread_pool.h"
@@ -27,92 +28,144 @@ double edge_weight(const RoadGraph& g, SegmentId s, PathMetric metric) {
   return 1.0;
 }
 
-/// One Brandes accumulation pass from `source`, adding each segment's
-/// pair-dependency into `centrality`. An empty `weights` span selects the
-/// unweighted BFS path (the kHops metric); otherwise weights[segment] is
-/// the segment's traversal cost (Dijkstra). When `dist_out` is non-null the
-/// pass's final distance array is moved into it (IncrementalBetweenness
-/// caches it for affected-source detection).
-void accumulate_from_source(const RoadGraph& g, NodeId source,
-                            std::span<const double> weights,
-                            std::vector<double>& centrality,
-                            std::vector<double>* dist_out = nullptr) {
-  const std::size_t n = g.num_intersections();
-  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-  std::vector<double> sigma(n, 0.0);  // shortest-path counts
-  std::vector<double> delta(n, 0.0);  // dependencies
-  std::vector<std::vector<Hop>> preds(n);
-  std::vector<NodeId> order;  // nodes in nondecreasing distance
-  order.reserve(n);
+/// Scratch for Brandes accumulation passes, reused for every source one
+/// chunk accumulates. Every array is sized once from the graph, so a pass
+/// never allocates: the Dijkstra heap's reserve covers its worst case (one
+/// entry per relaxed hop plus the source). Predecessors live in flat
+/// per-node slots laid out by degree — an undirected node has at most
+/// degree(w) counted predecessors, one per incident hop.
+class BrandesWorkspace {
+ public:
+  explicit BrandesWorkspace(const RoadGraph& g)
+      : g_(g),
+        dist_(g.num_intersections()),
+        sigma_(g.num_intersections()),
+        delta_(g.num_intersections()),
+        settled_(g.num_intersections()),
+        pred_begin_(g.num_intersections() + 1, 0),
+        pred_count_(g.num_intersections()) {
+    const std::size_t n = g.num_intersections();
+    for (NodeId v = 0; v < n; ++v) {
+      pred_begin_[v + 1] = pred_begin_[v] +
+                           static_cast<std::uint32_t>(g.neighbors(v).size());
+    }
+    preds_.resize(pred_begin_[n]);
+    order_.reserve(n);
+    frontier_.reserve(n);
+    heap_.reserve(preds_.size() + 1);
+  }
 
-  dist[source] = 0.0;
-  sigma[source] = 1.0;
+  /// One Brandes pass from `source`, adding each segment's pair-dependency
+  /// into `centrality`. An empty `weights` span selects the unweighted BFS
+  /// path (the kHops metric); otherwise weights[segment] is the segment's
+  /// traversal cost (Dijkstra). dist() holds the pass's distances after.
+  void accumulate(NodeId source, std::span<const double> weights,
+                  std::span<double> centrality) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::fill(dist_.begin(), dist_.end(), kInf);
+    std::fill(sigma_.begin(), sigma_.end(), 0.0);  // shortest-path counts
+    std::fill(delta_.begin(), delta_.end(), 0.0);  // dependencies
+    std::fill(pred_count_.begin(), pred_count_.end(), 0u);
+    order_.clear();  // nodes in nondecreasing distance
 
-  if (weights.empty()) {
-    std::queue<NodeId> frontier;
-    frontier.push(source);
-    while (!frontier.empty()) {
-      const NodeId v = frontier.front();
-      frontier.pop();
-      order.push_back(v);
-      for (const Hop& hop : g.neighbors(v)) {
-        const NodeId w = hop.node;
-        if (dist[w] == std::numeric_limits<double>::infinity()) {
-          dist[w] = dist[v] + 1.0;
-          frontier.push(w);
+    dist_[source] = 0.0;
+    sigma_[source] = 1.0;
+
+    if (weights.empty()) {
+      frontier_.clear();
+      frontier_.push_back(source);
+      for (std::size_t head = 0; head < frontier_.size(); ++head) {
+        const NodeId v = frontier_[head];
+        order_.push_back(v);
+        for (const Hop& hop : g_.neighbors(v)) {
+          const NodeId w = hop.node;
+          if (dist_[w] == kInf) {
+            dist_[w] = dist_[v] + 1.0;
+            frontier_.push_back(w);
+          }
+          if (dist_[w] == dist_[v] + 1.0) {
+            sigma_[w] += sigma_[v];
+            append_pred(w, Hop{hop.segment, v});
+          }
         }
-        if (dist[w] == dist[v] + 1.0) {
-          sigma[w] += sigma[v];
-          preds[w].push_back(Hop{hop.segment, v});
+      }
+    } else {
+      // Min-heap on (dist, node) through push_heap/pop_heap with
+      // std::greater: the comparator alone fixes the pop sequence, and so
+      // the settle order every floating-point sum below depends on.
+      std::fill(settled_.begin(), settled_.end(), std::uint8_t{0});
+      heap_.clear();
+      push_heap_entry(0.0, source);
+      // Tie tolerance *relative* to the candidate distance: equal-cost
+      // paths accumulated through different chains drift apart by
+      // O(eps * length), so a fixed absolute window both misses ties on
+      // km-scale distance / travel-time weights (drift > window) and merges
+      // genuinely distinct path lengths on tiny ones. 1e-12 relative sits
+      // far above the few-ulp drift of any realistic chain and far below
+      // any real length gap.
+      constexpr double kTieTolRel = 1e-12;
+      while (!heap_.empty()) {
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        const auto [d, v] = heap_.back();
+        heap_.pop_back();
+        if (settled_[v] != 0) continue;
+        settled_[v] = 1;
+        order_.push_back(v);
+        for (const Hop& hop : g_.neighbors(v)) {
+          const NodeId w = hop.node;
+          const double nd = d + weights[hop.segment];
+          const double tol = kTieTolRel * nd;  // dist[w] may be +inf
+          if (nd < dist_[w] - tol) {
+            dist_[w] = nd;
+            sigma_[w] = sigma_[v];
+            pred_count_[w] = 0;
+            append_pred(w, Hop{hop.segment, v});
+            push_heap_entry(nd, w);
+          } else if (std::abs(nd - dist_[w]) <= tol && settled_[w] == 0) {
+            sigma_[w] += sigma_[v];
+            append_pred(w, Hop{hop.segment, v});
+          }
         }
       }
     }
-  } else {
-    using Entry = std::pair<double, NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    std::vector<bool> settled(n, false);
-    heap.emplace(0.0, source);
-    // Tie tolerance *relative* to the candidate distance: equal-cost paths
-    // accumulated through different chains drift apart by O(eps * length),
-    // so a fixed absolute window both misses ties on km-scale distance /
-    // travel-time weights (drift > window) and merges genuinely distinct
-    // path lengths on tiny ones. 1e-12 relative sits far above the few-ulp
-    // drift of any realistic chain and far below any real length gap.
-    constexpr double kTieTolRel = 1e-12;
-    while (!heap.empty()) {
-      const auto [d, v] = heap.top();
-      heap.pop();
-      if (settled[v]) continue;
-      settled[v] = true;
-      order.push_back(v);
-      for (const Hop& hop : g.neighbors(v)) {
-        const NodeId w = hop.node;
-        const double nd = d + weights[hop.segment];
-        const double tol = kTieTolRel * nd;  // dist[w] may be +inf
-        if (nd < dist[w] - tol) {
-          dist[w] = nd;
-          sigma[w] = sigma[v];
-          preds[w].assign(1, Hop{hop.segment, v});
-          heap.emplace(nd, w);
-        } else if (std::abs(nd - dist[w]) <= tol && !settled[w]) {
-          sigma[w] += sigma[v];
-          preds[w].push_back(Hop{hop.segment, v});
-        }
+
+    // Back-propagate dependencies in reverse settle order.
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+      const NodeId w = *it;
+      const Hop* preds = preds_.data() + pred_begin_[w];
+      for (std::uint32_t p = 0; p < pred_count_[w]; ++p) {
+        const Hop& pred = preds[p];
+        const double share = sigma_[pred.node] / sigma_[w] * (1.0 + delta_[w]);
+        centrality[pred.segment] += share;
+        delta_[pred.node] += share;
       }
     }
   }
 
-  // Back-propagate dependencies in reverse settle order.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId w = *it;
-    for (const Hop& pred : preds[w]) {
-      const double share = sigma[pred.node] / sigma[w] * (1.0 + delta[w]);
-      centrality[pred.segment] += share;
-      delta[pred.node] += share;
-    }
+  std::span<const double> dist() const noexcept { return dist_; }
+
+ private:
+  void append_pred(NodeId w, Hop pred) {
+    preds_[pred_begin_[w] + pred_count_[w]++] = pred;
   }
-  if (dist_out != nullptr) *dist_out = std::move(dist);
-}
+
+  void push_heap_entry(double d, NodeId v) {
+    heap_.emplace_back(d, v);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+
+  const RoadGraph& g_;
+  std::vector<double> dist_;
+  std::vector<double> sigma_;
+  std::vector<double> delta_;
+  std::vector<std::uint8_t> settled_;
+  std::vector<std::uint32_t> pred_begin_;  // CSR offsets of the slots
+  std::vector<std::uint32_t> pred_count_;
+  std::vector<Hop> preds_;
+  std::vector<NodeId> order_;
+  std::vector<NodeId> frontier_;  // BFS queue, consumed by a head index
+  std::vector<std::pair<double, NodeId>> heap_;
+};
 
 /// Per-segment traversal cost vector for a metric; empty for kHops (which
 /// runs the BFS path). Hoisting the weights out of the per-source loop
@@ -171,8 +224,9 @@ std::vector<double> betweenness_from_sources(
   pool.parallel_for(0, num_chunks, [&](std::size_t c) {
     const std::size_t begin = sources.size() * c / num_chunks;
     const std::size_t end = sources.size() * (c + 1) / num_chunks;
+    BrandesWorkspace ws(g);
     for (std::size_t s = begin; s < end; ++s) {
-      accumulate_from_source(g, sources[s], weights, partials[c]);
+      ws.accumulate(sources[s], weights, partials[c]);
     }
   });
   std::vector<double> centrality(g.num_segments(), 0.0);
@@ -250,8 +304,10 @@ IncrementalBetweenness::IncrementalBetweenness(const RoadGraph& g,
       opts_(opts),
       weights_(std::move(weights)),
       num_chunks_(chunk_count(g.num_intersections())),
-      partials_(num_chunks_),
-      dists_(g.num_intersections()),
+      partials_(num_chunks_, std::vector<double>(g.num_segments(), 0.0)),
+      dists_(g.num_intersections() * g.num_intersections()),
+      affected_(g.num_intersections()),
+      dirty_(num_chunks_, 1),
       centrality_(g.num_segments(), 0.0),
       pool_(std::min<std::size_t>(
           ThreadPool::clamped_lanes(opts.num_threads),
@@ -259,8 +315,7 @@ IncrementalBetweenness::IncrementalBetweenness(const RoadGraph& g,
   AVCP_EXPECT(g_.finalized());
   AVCP_EXPECT(g_.num_intersections() >= 1);
   check_weights(g_, weights_);
-  const std::vector<std::uint8_t> all_dirty(num_chunks_, 1);
-  recompute_chunks(all_dirty);
+  recompute_chunks();
   reduce();
 }
 
@@ -297,9 +352,9 @@ IncrementalBetweenness::UpdateStats IncrementalBetweenness::update_weights(
   // skipped here provably contributed the same partial.
   constexpr double kAffectTolRel = 1e-9;
   const std::size_t n = g_.num_intersections();
-  std::vector<std::uint8_t> affected(n, 0);
+  std::fill(affected_.begin(), affected_.end(), std::uint8_t{0});
   for (std::size_t src = 0; src < n; ++src) {
-    const std::vector<double>& dist = dists_[src];
+    const double* dist = dists_.data() + src * n;
     for (const Change& ch : changes) {
       const RoadSegment& seg = g_.segment(ch.seg);
       const double da = dist[seg.from];
@@ -309,48 +364,49 @@ IncrementalBetweenness::UpdateStats IncrementalBetweenness::update_weights(
       const double hi = std::max(da, db);
       const double cand = lo + ch.wmin;
       if (cand <= hi + kAffectTolRel * std::max(std::abs(hi), cand)) {
-        affected[src] = 1;
+        affected_[src] = 1;
         break;
       }
     }
   }
 
-  std::vector<std::uint8_t> dirty(num_chunks_, 0);
+  std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
   for (std::size_t c = 0; c < num_chunks_; ++c) {
     const std::size_t begin = n * c / num_chunks_;
     const std::size_t end = n * (c + 1) / num_chunks_;
     for (std::size_t s = begin; s < end; ++s) {
-      if (affected[s] != 0) {
-        dirty[c] = 1;
+      if (affected_[s] != 0) {
+        dirty_[c] = 1;
         break;
       }
     }
   }
   for (std::size_t s = 0; s < n; ++s) {
-    stats.sources_affected += affected[s];
+    stats.sources_affected += affected_[s];
   }
   for (std::size_t c = 0; c < num_chunks_; ++c) {
-    stats.chunks_recomputed += dirty[c];
+    stats.chunks_recomputed += dirty_[c];
   }
   if (stats.chunks_recomputed == 0) return stats;
 
-  recompute_chunks(dirty);
+  recompute_chunks();
   reduce();
   return stats;
 }
 
-void IncrementalBetweenness::recompute_chunks(
-    const std::vector<std::uint8_t>& dirty) {
+void IncrementalBetweenness::recompute_chunks() {
   const std::size_t n = g_.num_intersections();
   pool_.parallel_for(0, num_chunks_, [&](std::size_t c) {
-    if (dirty[c] == 0) return;
+    if (dirty_[c] == 0) return;
     std::vector<double>& partial = partials_[c];
-    partial.assign(g_.num_segments(), 0.0);
+    std::fill(partial.begin(), partial.end(), 0.0);
     const std::size_t begin = n * c / num_chunks_;
     const std::size_t end = n * (c + 1) / num_chunks_;
+    BrandesWorkspace ws(g_);
     for (std::size_t s = begin; s < end; ++s) {
-      accumulate_from_source(g_, static_cast<NodeId>(s), weights_, partial,
-                             &dists_[s]);
+      ws.accumulate(static_cast<NodeId>(s), weights_, partial);
+      const std::span<const double> dist = ws.dist();
+      std::copy(dist.begin(), dist.end(), dists_.begin() + s * n);
     }
   });
 }

@@ -108,7 +108,8 @@ class IncrementalBetweenness {
   std::size_t num_chunks() const noexcept { return num_chunks_; }
 
  private:
-  void recompute_chunks(const std::vector<std::uint8_t>& dirty);
+  /// Re-runs every chunk flagged in dirty_, one BrandesWorkspace per chunk.
+  void recompute_chunks();
   void reduce();
 
   struct Change {
@@ -125,8 +126,12 @@ class IncrementalBetweenness {
   std::vector<Change> changes_;
   /// partials_[chunk][segment]: the chunk's unscaled accumulation.
   std::vector<std::vector<double>> partials_;
-  /// dists_[source][node]: distances of the cached pass from `source`.
-  std::vector<std::vector<double>> dists_;
+  /// dists_[source * N + node]: distances of the cached pass from `source`.
+  std::vector<double> dists_;
+  /// Per-source affected flags and per-chunk dirty flags of the last
+  /// update_weights (the constructor marks every chunk dirty).
+  std::vector<std::uint8_t> affected_;
+  std::vector<std::uint8_t> dirty_;
   std::vector<double> centrality_;
   ThreadPool pool_;
 };

@@ -18,6 +18,7 @@
 #include "core/fds.h"
 #include "core/fleet_stream.h"
 #include "perception/fleet_soa.h"
+#include "roadnet/betweenness.h"
 #include "roadnet/builders.h"
 #include "service/service_engine.h"
 #include "system/fleet_engine.h"
@@ -263,6 +264,71 @@ TEST(AllocationGuardService, ChurningEpochsHaveBoundedAllocations) {
     for (int e = 0; e < 20; ++e) svc.run_epoch();
   });
   EXPECT_LE(allocs, 8) << "per-epoch heap churn has crept back in";
+}
+
+// A full IncrementalBetweenness refresh (every segment re-weighted, so all
+// chunks recompute) allocates per chunk, not per source or per node: each
+// chunk builds one Brandes workspace and reuses it for all its sources.
+TEST(AllocationGuardBetweenness, FullRefreshAllocatesPerChunkNotPerSource) {
+  roadnet::CityParams city;
+  city.rows = 18;
+  city.cols = 24;
+  const auto graph = roadnet::build_city(city);
+  std::vector<roadnet::SegmentId> segments(graph.num_segments());
+  std::vector<double> weights(graph.num_segments());
+  for (roadnet::SegmentId s = 0; s < graph.num_segments(); ++s) {
+    segments[s] = s;
+    weights[s] = graph.segment(s).travel_time_s();
+  }
+  roadnet::BetweennessOptions opts;
+  opts.num_threads = 2;
+  roadnet::IncrementalBetweenness inc(graph, weights, opts);
+  for (int pass = 0; pass < 2; ++pass) {  // first pass warms changes_
+    for (double& w : weights) w *= 1.25;
+    roadnet::IncrementalBetweenness::UpdateStats stats;
+    const long long allocs = allocations_during(
+        [&] { stats = inc.update_weights(segments, weights); });
+    ASSERT_EQ(stats.chunks_recomputed, inc.num_chunks());
+    if (pass == 1) {
+      EXPECT_LE(allocs, 16 * static_cast<long long>(inc.num_chunks()))
+          << "per-source Brandes allocations have crept back in";
+    }
+  }
+}
+
+// A warmed FdsController::next_x_into on the paper-style game (20 regions,
+// every one of the 8 decisions constrained, so no decision takes the
+// whole-coordinate early return) allocates nothing: the rate probes and the
+// interval sets reuse the controller's scratch, whatever the game's size.
+TEST(AllocationGuardFds, WarmedNextXIntoIsAllocationFree) {
+  for (const std::size_t regions : {4u, 20u}) {
+    const auto game = core::testing::make_chain_game(regions);
+    const std::vector<double> p_star = {0.3, 0.05, 0.05, 0.05,
+                                        0.2, 0.05, 0.05, 0.25};
+    core::FdsController controller(
+        game, core::DesiredFields::from_distribution(regions, p_star, 0.05));
+    Rng rng(5);
+    std::vector<core::GameState> states(6);
+    std::vector<std::vector<double>> xs(states.size());
+    for (std::size_t s = 0; s < states.size(); ++s) {
+      for (std::size_t i = 0; i < regions; ++i) {
+        states[s].p.push_back(core::testing::random_simplex(rng, 8));
+        xs[s].push_back(rng.uniform(0.0, 1.0));
+      }
+    }
+    std::vector<double> out;
+    for (std::size_t s = 0; s < states.size(); ++s) {  // warm-up
+      controller.next_x_into(states[s], xs[s], out);
+    }
+    const long long allocs = allocations_during([&] {
+      for (int rep = 0; rep < 3; ++rep) {
+        for (std::size_t s = 0; s < states.size(); ++s) {
+          controller.next_x_into(states[s], xs[s], out);
+        }
+      }
+    });
+    EXPECT_EQ(allocs, 0) << regions << " regions";
+  }
 }
 
 }  // namespace
