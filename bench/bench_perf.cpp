@@ -159,7 +159,8 @@ BENCHMARK(BM_BrandesBetweenness)
     ->Args({8, 1})
     ->Args({16, 1})
     ->Args({16, 4})
-    ->Args({16, 8});
+    ->Args({16, 8})
+    ->MinTime(0.25);
 
 // The service's maintained-epoch refresh: a weighted IncrementalBetweenness
 // update on the paper's 18x24 city that re-weights every segment (two
@@ -227,7 +228,7 @@ void BM_DataPlaneRound(bench::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_DataPlaneRound)->Arg(20)->Arg(100);
+BENCHMARK(BM_DataPlaneRound)->Arg(20)->Arg(100)->MinTime(0.25);
 
 void BM_TraceGeneration(bench::State& state) {
   roadnet::CityParams city;

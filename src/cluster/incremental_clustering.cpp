@@ -1,11 +1,23 @@
 #include "cluster/incremental_clustering.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.h"
 
 namespace avcp::cluster {
+
+namespace {
+
+/// The congestion-scaled travel time documented at
+/// IncrementalClusteringOptions::congestion_alpha.
+double congestion_weight(const roadnet::RoadGraph& g, roadnet::SegmentId s,
+                         std::int64_t load, double congestion_alpha) {
+  AVCP_EXPECT(load >= 0);
+  return g.segment(s).travel_time_s() *
+         (1.0 + congestion_alpha * static_cast<double>(load));
+}
+
+}  // namespace
 
 std::vector<double> IncrementalClustering::load_weights(
     const roadnet::RoadGraph& g, std::span<const std::int64_t> loads,
@@ -13,9 +25,7 @@ std::vector<double> IncrementalClustering::load_weights(
   AVCP_EXPECT(loads.size() == g.num_segments());
   std::vector<double> weights(g.num_segments());
   for (roadnet::SegmentId s = 0; s < g.num_segments(); ++s) {
-    AVCP_EXPECT(loads[s] >= 0);
-    weights[s] = g.segment(s).travel_time_s() *
-                 (1.0 + congestion_alpha * static_cast<double>(loads[s]));
+    weights[s] = congestion_weight(g, s, loads[s], congestion_alpha);
   }
   return weights;
 }
@@ -34,12 +44,11 @@ IncrementalClustering::IncrementalClustering(const roadnet::RoadGraph& g,
 
 IncrementalClustering::RefreshStats IncrementalClustering::apply(
     std::span<const LoadDelta> deltas) {
-  RefreshStats stats;
-  if (deltas.empty()) return stats;
+  if (deltas.empty()) return {};
 
-  // Fold duplicates into the counts first, then hand the incremental
-  // betweenness one final weight per touched segment, in segment-id order
-  // so the update is independent of delta ordering.
+  // Fold duplicates into the counts first, then hand the betweenness one
+  // final weight per touched segment, in segment-id order so the update is
+  // independent of delta ordering.
   touched_.assign(g_.num_segments(), 0);
   for (const LoadDelta& d : deltas) {
     AVCP_EXPECT(d.segment < g_.num_segments());
@@ -52,44 +61,39 @@ IncrementalClustering::RefreshStats IncrementalClustering::apply(
   for (roadnet::SegmentId s = 0; s < g_.num_segments(); ++s) {
     if (touched_[s] == 0) continue;
     segments_.push_back(s);
-    weights_.push_back(g_.segment(s).travel_time_s() *
-                       (1.0 + opts_.congestion_alpha *
-                                  static_cast<double>(loads_[s])));
+    weights_.push_back(
+        congestion_weight(g_, s, loads_[s], opts_.congestion_alpha));
   }
+  return refresh();
+}
 
+void IncrementalClustering::set_loads(std::span<const std::int64_t> loads) {
+  AVCP_EXPECT(loads.size() == g_.num_segments());
+  segments_.clear();
+  weights_.clear();
+  for (roadnet::SegmentId s = 0; s < g_.num_segments(); ++s) {
+    AVCP_EXPECT(loads[s] >= 0);
+    if (loads[s] == loads_[s]) continue;
+    loads_[s] = loads[s];
+    segments_.push_back(s);
+    weights_.push_back(
+        congestion_weight(g_, s, loads_[s], opts_.congestion_alpha));
+  }
+  refresh();
+}
+
+IncrementalClustering::RefreshStats IncrementalClustering::refresh() {
   const auto up = inc_.update_weights(segments_, weights_);
+  RefreshStats stats;
   stats.segments_changed = up.segments_changed;
-  stats.sources_affected = up.sources_affected;
   stats.chunks_recomputed = up.chunks_recomputed;
-
-  // Centrality can only differ from before when a chunk actually re-ran;
-  // otherwise clustering over bit-identical coefficients is bit-identical
-  // too, so skip Algorithm 1 entirely.
+  // With no changed weight the centrality is bit-identical, and so is
+  // Algorithm 1's clustering over it: skip the re-run.
   if (up.chunks_recomputed > 0) {
     clustering_ = cluster_segments(g_, inc_.centrality(), opts_.clustering);
     stats.reclustered = true;
   }
   return stats;
-}
-
-void IncrementalClustering::set_loads(std::span<const std::int64_t> loads) {
-  AVCP_EXPECT(loads.size() == g_.num_segments());
-  std::vector<roadnet::SegmentId> segments;
-  std::vector<double> weights;
-  for (roadnet::SegmentId s = 0; s < g_.num_segments(); ++s) {
-    AVCP_EXPECT(loads[s] >= 0);
-    if (loads[s] == loads_[s]) continue;
-    loads_[s] = loads[s];
-    segments.push_back(s);
-    weights.push_back(g_.segment(s).travel_time_s() *
-                      (1.0 + opts_.congestion_alpha *
-                                 static_cast<double>(loads_[s])));
-  }
-  if (segments.empty()) return;
-  const auto up = inc_.update_weights(segments, weights);
-  if (up.chunks_recomputed > 0) {
-    clustering_ = cluster_segments(g_, inc_.centrality(), opts_.clustering);
-  }
 }
 
 Clustering IncrementalClustering::scratch(

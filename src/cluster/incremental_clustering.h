@@ -7,9 +7,9 @@
 // 1's utility coefficients) are computed from. IncrementalClustering owns
 // that loop: it folds load deltas into per-segment vehicle counts, maps
 // counts to weights via a congestion-scaled travel time, refreshes Brandes
-// centrality through IncrementalBetweenness (chunk-cached, so only affected
-// source chunks re-run), and re-runs Algorithm 1 only when the centrality
-// actually moved.
+// centrality through IncrementalBetweenness (a full weighted pass on a
+// persistent pool), and re-runs Algorithm 1 only when a weight actually
+// changed.
 //
 // Contract: after any sequence of apply() calls, clustering() and
 // centrality() are bit-equal to the from-scratch scratch() computation over
@@ -53,7 +53,6 @@ class IncrementalClustering {
 
   struct RefreshStats {
     std::size_t segments_changed = 0;
-    std::size_t sources_affected = 0;
     std::size_t chunks_recomputed = 0;
     bool reclustered = false;
   };
@@ -80,19 +79,23 @@ class IncrementalClustering {
                             std::span<const std::int64_t> loads,
                             const IncrementalClusteringOptions& opts);
 
-  /// The weight vector scratch() and the incremental path both use.
+  /// The weight vector scratch() and apply() both use.
   static std::vector<double> load_weights(
       const roadnet::RoadGraph& g, std::span<const std::int64_t> loads,
       double congestion_alpha);
 
  private:
+  /// Hands segments_/weights_ to the betweenness and re-clusters if a
+  /// weight changed.
+  RefreshStats refresh();
+
   const roadnet::RoadGraph& g_;
   IncrementalClusteringOptions opts_;
   std::vector<std::int64_t> loads_;
   roadnet::IncrementalBetweenness inc_;
   Clustering clustering_;
-  /// Grow-only apply() scratch: steady-state refreshes that end up
-  /// changing no weight (e.g. congestion_alpha == 0) allocate nothing.
+  /// Grow-only apply()/set_loads() scratch: steady-state refreshes that end
+  /// up changing no weight (e.g. congestion_alpha == 0) allocate nothing.
   std::vector<std::uint8_t> touched_;
   std::vector<roadnet::SegmentId> segments_;
   std::vector<double> weights_;

@@ -58,7 +58,7 @@ class BrandesWorkspace {
   /// One Brandes pass from `source`, adding each segment's pair-dependency
   /// into `centrality`. An empty `weights` span selects the unweighted BFS
   /// path (the kHops metric); otherwise weights[segment] is the segment's
-  /// traversal cost (Dijkstra). dist() holds the pass's distances after.
+  /// traversal cost (Dijkstra).
   void accumulate(NodeId source, std::span<const double> weights,
                   std::span<double> centrality) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -142,8 +142,6 @@ class BrandesWorkspace {
     }
   }
 
-  std::span<const double> dist() const noexcept { return dist_; }
-
  private:
   void append_pred(NodeId w, Hop pred) {
     preds_[pred_begin_[w] + pred_count_[w]++] = pred;
@@ -181,62 +179,69 @@ std::vector<double> metric_weights(const RoadGraph& g, PathMetric metric) {
   return weights;
 }
 
-/// Chunk partition shared by the batch and incremental paths: boundaries
-/// depend only on the source count, never the thread count.
-constexpr std::size_t kMaxChunks = 64;
-
-std::size_t chunk_count(std::size_t num_sources) {
-  return std::min<std::size_t>(kMaxChunks, std::max<std::size_t>(1, num_sources));
-}
-
-/// Normalization factor shared by every entry point. Undirected graph: each
-/// pair (s, t) is visited from both endpoints.
-double norm_factor(const RoadGraph& g, const BetweennessOptions& opts) {
-  double norm = 2.0;
-  if (opts.normalize) {
-    const auto n = static_cast<double>(g.num_intersections());
-    if (n > 2.0) norm *= (n - 1.0) * (n - 2.0);
-  }
-  return norm;
-}
-
-std::vector<double> betweenness_from_sources(
-    const RoadGraph& g, std::span<const NodeId> sources, double scale,
-    const BetweennessOptions& opts, std::span<const double> weights) {
-  std::size_t num_threads = opts.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, std::max<std::size_t>(1, sources.size()));
-
-  // Sources are split into contiguous chunks whose boundaries depend only
-  // on the source count — never on the thread count — and each chunk
-  // accumulates its own partial in source order. The partials are then
-  // reduced on this thread in chunk order, so the floating-point summation
-  // order (and therefore the returned centrality, bit for bit) is invariant
-  // to how many threads ran the chunks. The old strided partition re-split
-  // the sum by thread count, so the default (hardware_concurrency) gave
-  // different last-ulp results on different machines.
-  const std::size_t num_chunks = chunk_count(sources.size());
-  std::vector<std::vector<double>> partials(
+/// One partial (an entry per segment) per source chunk. Sources are split
+/// into at most 64 contiguous chunks whose boundaries depend only on the
+/// source count, never on the thread count.
+std::vector<std::vector<double>> make_partials(const RoadGraph& g) {
+  constexpr std::size_t kMaxChunks = 64;
+  const std::size_t num_chunks = std::min<std::size_t>(
+      kMaxChunks, std::max<std::size_t>(1, g.num_intersections()));
+  return std::vector<std::vector<double>>(
       num_chunks, std::vector<double>(g.num_segments(), 0.0));
-  ThreadPool pool(num_threads);
+}
+
+/// The one Brandes driver behind every entry point: each chunk accumulates
+/// its own partial from its sources in order, on `pool`, and the partials
+/// are then reduced on this thread in chunk order and normalised. The
+/// floating-point summation order, and so the centrality bit for bit, is
+/// therefore invariant to how many lanes ran the chunks. `partials` comes
+/// from make_partials(g).
+void chunked_betweenness(const RoadGraph& g, std::span<const double> weights,
+                         const BetweennessOptions& opts, ThreadPool& pool,
+                         std::vector<std::vector<double>>& partials,
+                         std::span<double> centrality) {
+  const std::size_t n = g.num_intersections();
+  const std::size_t num_chunks = partials.size();
   pool.parallel_for(0, num_chunks, [&](std::size_t c) {
-    const std::size_t begin = sources.size() * c / num_chunks;
-    const std::size_t end = sources.size() * (c + 1) / num_chunks;
+    std::vector<double>& partial = partials[c];
+    std::fill(partial.begin(), partial.end(), 0.0);
+    const std::size_t begin = n * c / num_chunks;
+    const std::size_t end = n * (c + 1) / num_chunks;
     BrandesWorkspace ws(g);
     for (std::size_t s = begin; s < end; ++s) {
-      ws.accumulate(sources[s], weights, partials[c]);
+      ws.accumulate(static_cast<NodeId>(s), weights, partial);
     }
   });
-  std::vector<double> centrality(g.num_segments(), 0.0);
+  std::fill(centrality.begin(), centrality.end(), 0.0);
   for (const auto& partial : partials) {
     for (std::size_t i = 0; i < centrality.size(); ++i) {
       centrality[i] += partial[i];
     }
   }
-  const double norm = norm_factor(g, opts);
-  for (double& c : centrality) c = c * scale / norm;
+  // Undirected graph: each pair (s, t) is visited from both endpoints.
+  double norm = 2.0;
+  if (opts.normalize && n > 2) {
+    const auto nd = static_cast<double>(n);
+    norm *= (nd - 1.0) * (nd - 2.0);
+  }
+  for (double& c : centrality) c /= norm;
+}
+
+/// The one-shot entry points: a pool of exactly opts.num_threads lanes (0 =
+/// hardware concurrency), never more than there are sources.
+std::vector<double> one_shot_betweenness(const RoadGraph& g,
+                                         std::span<const double> weights,
+                                         const BetweennessOptions& opts) {
+  std::size_t num_threads = opts.num_threads;
+  if (num_threads == 0) {
+    num_threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  num_threads =
+      std::min(num_threads, std::max<std::size_t>(1, g.num_intersections()));
+  ThreadPool pool(num_threads);
+  std::vector<std::vector<double>> partials = make_partials(g);
+  std::vector<double> centrality(g.num_segments());
+  chunked_betweenness(g, weights, opts, pool, partials, centrality);
   return centrality;
 }
 
@@ -252,37 +257,7 @@ void check_weights(const RoadGraph& g, std::span<const double> weights) {
 std::vector<double> segment_betweenness(const RoadGraph& g,
                                         const BetweennessOptions& opts) {
   AVCP_EXPECT(g.finalized());
-  std::vector<NodeId> sources(g.num_intersections());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    sources[i] = static_cast<NodeId>(i);
-  }
-  const std::vector<double> weights = metric_weights(g, opts.metric);
-  return betweenness_from_sources(g, sources, 1.0, opts, weights);
-}
-
-std::vector<double> sampled_segment_betweenness(
-    const RoadGraph& g, std::size_t num_sources, Rng& rng,
-    const BetweennessOptions& opts) {
-  AVCP_EXPECT(g.finalized());
-  AVCP_EXPECT(num_sources >= 1);
-  const std::size_t n = g.num_intersections();
-  num_sources = std::min(num_sources, n);
-
-  // Sample sources without replacement (partial Fisher-Yates).
-  std::vector<NodeId> pool(n);
-  for (std::size_t i = 0; i < n; ++i) pool[i] = static_cast<NodeId>(i);
-  for (std::size_t i = 0; i < num_sources; ++i) {
-    const auto j = static_cast<std::size_t>(
-        rng.uniform_int(static_cast<std::int64_t>(i),
-                        static_cast<std::int64_t>(n) - 1));
-    std::swap(pool[i], pool[j]);
-  }
-  pool.resize(num_sources);
-
-  const double scale =
-      static_cast<double>(n) / static_cast<double>(num_sources);
-  const std::vector<double> weights = metric_weights(g, opts.metric);
-  return betweenness_from_sources(g, pool, scale, opts, weights);
+  return one_shot_betweenness(g, metric_weights(g, opts.metric), opts);
 }
 
 std::vector<double> segment_betweenness_weighted(
@@ -290,11 +265,7 @@ std::vector<double> segment_betweenness_weighted(
     const BetweennessOptions& opts) {
   AVCP_EXPECT(g.finalized());
   check_weights(g, weights);
-  std::vector<NodeId> sources(g.num_intersections());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    sources[i] = static_cast<NodeId>(i);
-  }
-  return betweenness_from_sources(g, sources, 1.0, opts, weights);
+  return one_shot_betweenness(g, weights, opts);
 }
 
 IncrementalBetweenness::IncrementalBetweenness(const RoadGraph& g,
@@ -303,11 +274,7 @@ IncrementalBetweenness::IncrementalBetweenness(const RoadGraph& g,
     : g_(g),
       opts_(opts),
       weights_(std::move(weights)),
-      num_chunks_(chunk_count(g.num_intersections())),
-      partials_(num_chunks_, std::vector<double>(g.num_segments(), 0.0)),
-      dists_(g.num_intersections() * g.num_intersections()),
-      affected_(g.num_intersections()),
-      dirty_(num_chunks_, 1),
+      partials_(make_partials(g)),
       centrality_(g.num_segments(), 0.0),
       pool_(std::min<std::size_t>(
           ThreadPool::clamped_lanes(opts.num_threads),
@@ -315,113 +282,29 @@ IncrementalBetweenness::IncrementalBetweenness(const RoadGraph& g,
   AVCP_EXPECT(g_.finalized());
   AVCP_EXPECT(g_.num_intersections() >= 1);
   check_weights(g_, weights_);
-  recompute_chunks();
-  reduce();
+  chunked_betweenness(g_, weights_, opts_, pool_, partials_, centrality_);
 }
 
 IncrementalBetweenness::UpdateStats IncrementalBetweenness::update_weights(
     std::span<const SegmentId> segments, std::span<const double> new_weights) {
   AVCP_EXPECT(segments.size() == new_weights.size());
-
-  // Apply sequentially so later duplicates win, capturing min(old, new) per
-  // applied change: a source unaffected by every individual change (no
-  // counted path could shorten or be joined) has bit-identical distances
-  // after each one in turn, so the per-change test composes over the batch.
-  std::vector<Change>& changes = changes_;
-  changes.clear();
+  UpdateStats stats;
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const SegmentId s = segments[i];
     AVCP_EXPECT(s < g_.num_segments());
     const double w = new_weights[i];
     AVCP_EXPECT(std::isfinite(w) && w > 0.0);
-    const double old = weights_[s];
-    if (std::bit_cast<std::uint64_t>(old) == std::bit_cast<std::uint64_t>(w)) {
+    if (std::bit_cast<std::uint64_t>(weights_[s]) ==
+        std::bit_cast<std::uint64_t>(w)) {
       continue;
     }
-    changes.push_back({s, std::min(old, w)});
     weights_[s] = w;
+    ++stats.segments_changed;
   }
-
-  UpdateStats stats;
-  stats.segments_changed = changes.size();
-  if (changes.empty()) return stats;
-
-  // Conservative affected-source test against the cached distances. The
-  // window is deliberately wider than the Dijkstra tie tolerance (1e-12
-  // relative): a borderline source recomputes needlessly, but a source
-  // skipped here provably contributed the same partial.
-  constexpr double kAffectTolRel = 1e-9;
-  const std::size_t n = g_.num_intersections();
-  std::fill(affected_.begin(), affected_.end(), std::uint8_t{0});
-  for (std::size_t src = 0; src < n; ++src) {
-    const double* dist = dists_.data() + src * n;
-    for (const Change& ch : changes) {
-      const RoadSegment& seg = g_.segment(ch.seg);
-      const double da = dist[seg.from];
-      const double db = dist[seg.to];
-      const double lo = std::min(da, db);
-      if (lo == std::numeric_limits<double>::infinity()) continue;
-      const double hi = std::max(da, db);
-      const double cand = lo + ch.wmin;
-      if (cand <= hi + kAffectTolRel * std::max(std::abs(hi), cand)) {
-        affected_[src] = 1;
-        break;
-      }
-    }
-  }
-
-  std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
-  for (std::size_t c = 0; c < num_chunks_; ++c) {
-    const std::size_t begin = n * c / num_chunks_;
-    const std::size_t end = n * (c + 1) / num_chunks_;
-    for (std::size_t s = begin; s < end; ++s) {
-      if (affected_[s] != 0) {
-        dirty_[c] = 1;
-        break;
-      }
-    }
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    stats.sources_affected += affected_[s];
-  }
-  for (std::size_t c = 0; c < num_chunks_; ++c) {
-    stats.chunks_recomputed += dirty_[c];
-  }
-  if (stats.chunks_recomputed == 0) return stats;
-
-  recompute_chunks();
-  reduce();
+  if (stats.segments_changed == 0) return stats;
+  chunked_betweenness(g_, weights_, opts_, pool_, partials_, centrality_);
+  stats.chunks_recomputed = num_chunks();
   return stats;
-}
-
-void IncrementalBetweenness::recompute_chunks() {
-  const std::size_t n = g_.num_intersections();
-  pool_.parallel_for(0, num_chunks_, [&](std::size_t c) {
-    if (dirty_[c] == 0) return;
-    std::vector<double>& partial = partials_[c];
-    std::fill(partial.begin(), partial.end(), 0.0);
-    const std::size_t begin = n * c / num_chunks_;
-    const std::size_t end = n * (c + 1) / num_chunks_;
-    BrandesWorkspace ws(g_);
-    for (std::size_t s = begin; s < end; ++s) {
-      ws.accumulate(static_cast<NodeId>(s), weights_, partial);
-      const std::span<const double> dist = ws.dist();
-      std::copy(dist.begin(), dist.end(), dists_.begin() + s * n);
-    }
-  });
-}
-
-void IncrementalBetweenness::reduce() {
-  // Same reduction and normalization order as betweenness_from_sources with
-  // scale = 1.0, so the result is bit-equal to the from-scratch path.
-  std::fill(centrality_.begin(), centrality_.end(), 0.0);
-  for (const auto& partial : partials_) {
-    for (std::size_t i = 0; i < centrality_.size(); ++i) {
-      centrality_[i] += partial[i];
-    }
-  }
-  const double norm = norm_factor(g_, opts_);
-  for (double& c : centrality_) c = c * 1.0 / norm;
 }
 
 }  // namespace avcp::roadnet

@@ -3,16 +3,13 @@
 // The paper measures the importance of a road segment by the fraction of
 // shortest paths that traverse it. On the intersection graph this is the
 // classical *edge* betweenness, computed here with Brandes' accumulation
-// (O(N*M) unweighted, O(N*(M + N log N)) weighted). An optional sampled
-// variant trades exactness for speed on large networks, normalising by the
-// sampled source count so values stay comparable to the exact ones.
+// (O(N*M) unweighted, O(N*(M + N log N)) weighted).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "roadnet/road_graph.h"
 
@@ -42,12 +39,6 @@ struct BetweennessOptions {
 std::vector<double> segment_betweenness(const RoadGraph& g,
                                         const BetweennessOptions& opts = {});
 
-/// Approximate betweenness from `num_sources` sampled BFS/Dijkstra roots,
-/// rescaled to estimate the exact value. Requires num_sources >= 1.
-std::vector<double> sampled_segment_betweenness(
-    const RoadGraph& g, std::size_t num_sources, Rng& rng,
-    const BetweennessOptions& opts = {});
-
 /// Exact betweenness under caller-supplied per-segment weights (one finite
 /// positive weight per segment; Dijkstra path counting with the relative
 /// tie tolerance). `opts.metric` is ignored — the weights *are* the metric;
@@ -58,27 +49,17 @@ std::vector<double> segment_betweenness_weighted(
     const RoadGraph& g, std::span<const double> weights,
     const BetweennessOptions& opts = {});
 
-/// Chunk-cached Brandes for slowly-drifting weights (the service layer's
-/// congestion-scaled travel times, which change on a handful of segments
-/// per epoch as vehicles join, leave, and migrate).
+/// Weighted Brandes kept alive for weights that change between refreshes
+/// (the service layer's congestion-scaled travel times, which move as
+/// vehicles join, leave, and migrate).
 ///
-/// The source set is split into the same <= 64 contiguous chunks the batch
-/// path uses, and each chunk's partial accumulation is cached together with
-/// every source's distance array. update_weights() re-runs only the chunks
-/// containing an *affected* source and re-reduces the cached partials in
-/// chunk order, so the floating-point summation order — and therefore the
-/// centrality, bit for bit — is identical to segment_betweenness_weighted
-/// over the current weights at every thread count.
-///
-/// A source s is provably unaffected by a weight change on segment (a, b)
-/// when min(d_s(a), d_s(b)) + min(w_old, w_new) exceeds max(d_s(a), d_s(b))
-/// by more than a tolerance window wider than the Dijkstra tie window: the
-/// segment was on no counted shortest path before and cannot join (or
-/// shorten) one after, so s's whole dependency accumulation is unchanged.
-/// The test is conservative (borderline sources recompute needlessly) and
-/// applies per changed segment, so any batch of simultaneous changes is
-/// sound. Memory: one distance array per intersection (O(N^2) doubles) —
-/// sized for the service-scale road graphs, not continental networks.
+/// The object owns its thread pool and its per-chunk partials, so a refresh
+/// starts no threads and allocates only the chunks' Brandes workspaces.
+/// update_weights() applies the changed weights and, if any weight changed,
+/// re-runs every source chunk and reduces the partials in chunk order: the
+/// same driver, chunk boundaries and summation order as
+/// segment_betweenness_weighted, so the centrality is bit-equal to it at
+/// every thread count.
 class IncrementalBetweenness {
  public:
   /// `g` must outlive the object and stay unchanged (weights are the only
@@ -88,13 +69,13 @@ class IncrementalBetweenness {
 
   struct UpdateStats {
     std::size_t segments_changed = 0;
-    std::size_t sources_affected = 0;
+    /// num_chunks() when a weight changed, 0 otherwise.
     std::size_t chunks_recomputed = 0;
   };
 
   /// Applies the weight changes (parallel arrays; later duplicates win) and
-  /// refreshes the affected chunks. Entries whose weight is bit-equal to
-  /// the current one are ignored.
+  /// refreshes the centrality if any of them changed a weight. Entries
+  /// whose weight is bit-equal to the current one are ignored.
   UpdateStats update_weights(std::span<const SegmentId> segments,
                              std::span<const double> new_weights);
 
@@ -105,33 +86,14 @@ class IncrementalBetweenness {
   }
 
   std::span<const double> weights() const noexcept { return weights_; }
-  std::size_t num_chunks() const noexcept { return num_chunks_; }
+  std::size_t num_chunks() const noexcept { return partials_.size(); }
 
  private:
-  /// Re-runs every chunk flagged in dirty_, one BrandesWorkspace per chunk.
-  void recompute_chunks();
-  void reduce();
-
-  struct Change {
-    SegmentId seg;
-    double wmin;
-  };
-
   const RoadGraph& g_;
   BetweennessOptions opts_;
   std::vector<double> weights_;
-  std::size_t num_chunks_;
-  /// Grow-only update_weights scratch: a no-op refresh (all weights
-  /// bit-equal) allocates nothing once warmed.
-  std::vector<Change> changes_;
   /// partials_[chunk][segment]: the chunk's unscaled accumulation.
   std::vector<std::vector<double>> partials_;
-  /// dists_[source * N + node]: distances of the cached pass from `source`.
-  std::vector<double> dists_;
-  /// Per-source affected flags and per-chunk dirty flags of the last
-  /// update_weights (the constructor marks every chunk dirty).
-  std::vector<std::uint8_t> affected_;
-  std::vector<std::uint8_t> dirty_;
   std::vector<double> centrality_;
   ThreadPool pool_;
 };

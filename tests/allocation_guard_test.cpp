@@ -266,8 +266,8 @@ TEST(AllocationGuardService, ChurningEpochsHaveBoundedAllocations) {
   EXPECT_LE(allocs, 8) << "per-epoch heap churn has crept back in";
 }
 
-// A full IncrementalBetweenness refresh (every segment re-weighted, so all
-// chunks recompute) allocates per chunk, not per source or per node: each
+// An IncrementalBetweenness refresh (every refresh re-runs all chunks)
+// allocates per chunk, not per source or per node: each
 // chunk builds one Brandes workspace and reuses it for all its sources.
 TEST(AllocationGuardBetweenness, FullRefreshAllocatesPerChunkNotPerSource) {
   roadnet::CityParams city;
@@ -283,7 +283,7 @@ TEST(AllocationGuardBetweenness, FullRefreshAllocatesPerChunkNotPerSource) {
   roadnet::BetweennessOptions opts;
   opts.num_threads = 2;
   roadnet::IncrementalBetweenness inc(graph, weights, opts);
-  for (int pass = 0; pass < 2; ++pass) {  // first pass warms changes_
+  for (int pass = 0; pass < 2; ++pass) {  // first pass warms the pool
     for (double& w : weights) w *= 1.25;
     roadnet::IncrementalBetweenness::UpdateStats stats;
     const long long allocs = allocations_during(

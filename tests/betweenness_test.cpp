@@ -8,7 +8,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/rng.h"
 #include "roadnet/builders.h"
 
 namespace avcp::roadnet {
@@ -184,61 +183,6 @@ TEST(Betweenness, WeightedMetricChangesRanking) {
   EXPECT_NEAR(bc_time[direct], 0.0, 1e-12);
 }
 
-TEST(Betweenness, SampledApproximatesExact) {
-  CityParams params;
-  params.rows = 8;
-  params.cols = 8;
-  params.seed = 3;
-  const RoadGraph g = build_city(params);
-  const auto exact = segment_betweenness(g);
-  Rng rng(17);
-  const auto sampled =
-      sampled_segment_betweenness(g, g.num_intersections() / 2, rng);
-  ASSERT_EQ(exact.size(), sampled.size());
-  // Average absolute error should be small relative to the max value.
-  double max_exact = 0.0;
-  double total_err = 0.0;
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    max_exact = std::max(max_exact, exact[i]);
-    total_err += std::abs(exact[i] - sampled[i]);
-  }
-  EXPECT_LT(total_err / static_cast<double>(exact.size()), 0.25 * max_exact);
-}
-
-// Sampling-error sweep: the sampled estimator's mean absolute error decays
-// as the number of BFS roots grows.
-class SampledConvergenceSweep : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(SampledConvergenceSweep, ErrorShrinksWithMoreSources) {
-  CityParams params;
-  params.rows = 8;
-  params.cols = 8;
-  params.seed = GetParam();
-  const RoadGraph g = build_city(params);
-  const auto exact = segment_betweenness(g);
-  const auto mean_abs_error = [&](std::size_t sources, std::uint64_t seed) {
-    Rng rng(seed);
-    const auto approx = sampled_segment_betweenness(g, sources, rng);
-    double err = 0.0;
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      err += std::abs(exact[i] - approx[i]);
-    }
-    return err / static_cast<double>(exact.size());
-  };
-  // Average each error level over a few sampling seeds to damp noise.
-  double coarse = 0.0;
-  double fine = 0.0;
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    coarse += mean_abs_error(g.num_intersections() / 8, seed);
-    fine += mean_abs_error(g.num_intersections() * 3 / 4, seed);
-  }
-  EXPECT_LT(fine, coarse);
-}
-
-INSTANTIATE_TEST_SUITE_P(Cities, SampledConvergenceSweep,
-                         ::testing::Values<std::uint64_t>(2, 5, 9));
-
 TEST(Betweenness, ParallelMatchesSerial) {
   CityParams params;
   params.rows = 10;
@@ -381,17 +325,6 @@ TEST(Betweenness, TinyWeightTiesStillMerge) {
   EXPECT_NEAR(bc[u1], bc[d1], 1e-12);
   EXPECT_NEAR(bc[u2], bc[d2], 1e-12);
   EXPECT_NEAR(bc[u1], bc[u2], 1e-12);
-}
-
-TEST(Betweenness, SampledWithAllSourcesIsExact) {
-  const RoadGraph g = make_grid(3, 4);
-  const auto exact = segment_betweenness(g);
-  Rng rng(5);
-  const auto sampled =
-      sampled_segment_betweenness(g, g.num_intersections(), rng);
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_NEAR(exact[i], sampled[i], 1e-9);
-  }
 }
 
 }  // namespace

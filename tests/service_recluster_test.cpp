@@ -1,14 +1,14 @@
-// The incremental-equivalence contract of the service layer's clustering:
-// for ANY seeded sequence of load deltas, the incrementally-maintained
-// centrality and region clustering are bit-equal to the from-scratch
-// computation over the same loads — at every thread count — while actually
-// being incremental (some applies recompute only a strict subset of the
-// source chunks).
+// The equivalence contract of the service layer's clustering: for ANY
+// seeded sequence of load deltas, the maintained centrality and region
+// clustering are bit-equal to the from-scratch computation over the same
+// loads — at every thread count — and an apply re-runs every source chunk
+// exactly when it changed a weight.
 #include "cluster/incremental_clustering.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -65,7 +65,6 @@ TEST(IncrementalClustering, AnySeededSequenceMatchesFromScratch) {
   const double alpha = 0.15;
 
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    bool saw_partial_recompute = false;
     std::vector<std::vector<double>> per_thread_centrality;
     for (const std::size_t threads : {1u, 2u, 8u}) {
       const auto opts = make_opts(threads, alpha);
@@ -77,9 +76,9 @@ TEST(IncrementalClustering, AnySeededSequenceMatchesFromScratch) {
         const auto stats = inc.apply(deltas);
         const std::size_t num_chunks =
             std::min<std::size_t>(64, g.num_intersections());
-        if (stats.chunks_recomputed > 0 &&
-            stats.chunks_recomputed < num_chunks) {
-          saw_partial_recompute = true;
+        if (stats.segments_changed > 0) {
+          EXPECT_EQ(stats.chunks_recomputed, num_chunks);
+          EXPECT_TRUE(stats.reclustered);
         }
         ASSERT_EQ(std::vector<std::int64_t>(inc.loads().begin(),
                                             inc.loads().end()),
@@ -106,10 +105,32 @@ TEST(IncrementalClustering, AnySeededSequenceMatchesFromScratch) {
     for (std::size_t i = 1; i < per_thread_centrality.size(); ++i) {
       EXPECT_EQ(per_thread_centrality[0], per_thread_centrality[i]);
     }
-    // The contract is only interesting if the path is actually
-    // incremental: at least one apply must have skipped cached chunks.
-    EXPECT_TRUE(saw_partial_recompute) << "seed " << seed;
   }
+}
+
+TEST(IncrementalClustering, NetZeroBatchChangesNothing) {
+  const auto g = roadnet::make_grid(5, 5);
+  IncrementalClustering inc(g, make_opts(2, 0.15));
+  const std::vector<LoadDelta> load = {{3, 2}, {7, 1}};
+  inc.apply(load);
+  const auto centrality = inc.centrality();
+  const auto region_of = inc.clustering().region_of;
+
+  // A vehicle joins and another leaves on each of two segments.
+  const std::vector<LoadDelta> churn = {{3, 1}, {7, -1}, {3, -1}, {7, 1}};
+  const auto stats = inc.apply(churn);
+  EXPECT_EQ(stats.segments_changed, 0u);
+  EXPECT_EQ(stats.chunks_recomputed, 0u);
+  EXPECT_FALSE(stats.reclustered);
+  EXPECT_EQ(inc.loads()[3], 2);
+  EXPECT_EQ(inc.loads()[7], 1);
+  ASSERT_EQ(inc.centrality().size(), centrality.size());
+  for (std::size_t i = 0; i < centrality.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(inc.centrality()[i]),
+              std::bit_cast<std::uint64_t>(centrality[i]))
+        << "segment " << i;
+  }
+  EXPECT_EQ(inc.clustering().region_of, region_of);
 }
 
 TEST(IncrementalClustering, ZeroAlphaNeverReclusters) {

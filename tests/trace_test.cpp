@@ -4,12 +4,10 @@
 
 #include <cmath>
 #include <map>
-#include <sstream>
 
 #include "common/contracts.h"
 #include "roadnet/builders.h"
 #include "trace/density.h"
-#include "trace/trace_io.h"
 
 namespace avcp::trace {
 namespace {
@@ -186,51 +184,6 @@ TEST(TrafficDensity, TotalCountsSumWindows) {
   td.add(GpsFix{1, 150.0, {}, 0.0, 0});
   td.add(GpsFix{1, 250.0, {}, 0.0, 0});
   EXPECT_EQ(td.total_counts()[0], 3u);
-}
-
-TEST(TraceIo, RoundTripsThroughCsv) {
-  const RoadGraph g = roadnet::make_grid(3, 3, 200.0);
-  TraceParams params = small_params();
-  params.num_vehicles = 5;
-  params.duration_s = 600.0;
-  const TraceGenerator gen(g, params);
-  const auto fixes = gen.generate_all();
-  ASSERT_FALSE(fixes.empty());
-
-  std::ostringstream out;
-  write_trace_csv(out, fixes);
-  std::istringstream in(out.str());
-  const auto loaded = read_trace_csv(in);
-
-  ASSERT_EQ(loaded.size(), fixes.size());
-  for (std::size_t i = 0; i < fixes.size(); ++i) {
-    EXPECT_EQ(loaded[i].vehicle, fixes[i].vehicle);
-    EXPECT_NEAR(loaded[i].time_s, fixes[i].time_s, 1e-4);
-    EXPECT_NEAR(loaded[i].pos.x, fixes[i].pos.x, 1e-4);
-    EXPECT_NEAR(loaded[i].pos.y, fixes[i].pos.y, 1e-4);
-    EXPECT_EQ(loaded[i].segment, fixes[i].segment);
-  }
-}
-
-TEST(TraceIo, MalformedRowsRejected) {
-  // Wrong column count.
-  {
-    std::istringstream in("vehicle,time_s,x_m,y_m,speed_mps,segment\n1,2,3\n");
-    EXPECT_THROW(read_trace_csv(in), ContractViolation);
-  }
-  // Non-numeric field.
-  {
-    std::istringstream in(
-        "vehicle,time_s,x_m,y_m,speed_mps,segment\n1,abc,0,0,0,0\n");
-    EXPECT_THROW(read_trace_csv(in), ContractViolation);
-  }
-}
-
-TEST(TraceIo, EmptyTraceHasHeaderOnly) {
-  std::ostringstream out;
-  write_trace_csv(out, {});
-  std::istringstream in(out.str());
-  EXPECT_TRUE(read_trace_csv(in).empty());
 }
 
 }  // namespace
